@@ -705,10 +705,52 @@ func (c *Coordinator) placementLive(op *clusterOp) bool {
 	return true
 }
 
-// redAcc accumulates one reduction's partials.
+// redAcc collects one reduction's per-shard partials and sums them in
+// shard order once every shard has reported. Floating-point addition is
+// not associative, so summing in arrival order would let network timing
+// change the combined value (and with it iteration counts and x) on
+// three or more workers; the fixed order makes the combine a function of
+// the partials alone.
 type redAcc struct {
-	sums []float64
-	n    int
+	parts [][]float64 // by shard index; nil until that shard reports
+	n     int
+}
+
+// newRedAcc returns an accumulator for a reduction over shards shards.
+func newRedAcc(shards int) *redAcc {
+	return &redAcc{parts: make([][]float64, shards)}
+}
+
+// add records shard's partials (retained, not copied). It returns the
+// combined sums once the last shard has reported and nil before that.
+// The sums are computed as 0 + p_0 + p_1 + ... in shard order into the
+// storage of shard 0's partials.
+func (a *redAcc) add(shard int, vals []float64) ([]float64, error) {
+	if shard < 0 || shard >= len(a.parts) {
+		return nil, fmt.Errorf("%w: partial from shard %d of %d", wire.ErrFrame, shard, len(a.parts))
+	}
+	if a.parts[shard] != nil {
+		return nil, fmt.Errorf("%w: duplicate partial from shard %d", wire.ErrFrame, shard)
+	}
+	for _, p := range a.parts {
+		if p != nil && len(p) != len(vals) {
+			return nil, fmt.Errorf("%w: partial arity mismatch from shard %d", wire.ErrFrame, shard)
+		}
+	}
+	a.parts[shard] = vals
+	a.n++
+	if a.n < len(a.parts) {
+		return nil, nil
+	}
+	sums := a.parts[0]
+	for i := range sums {
+		v := 0.0
+		for _, p := range a.parts {
+			v += p[i]
+		}
+		sums[i] = v
+	}
+	return sums, nil
 }
 
 // solveAttempt runs one attempt: ship the solve, combine partials,
@@ -755,6 +797,10 @@ func (c *Coordinator) solveAttempt(ctx context.Context, op *clusterOp, method st
 	}
 
 	expected := len(op.assign)
+	shardOf := make(map[string]int, expected)
+	for i, id := range op.assign {
+		shardOf[id] = i
+	}
 	accs := make(map[uint64]*redAcc)
 	dones := make(map[string]*doneMsg, expected)
 	for {
@@ -769,20 +815,21 @@ func (c *Coordinator) solveAttempt(ctx context.Context, op *clusterOp, method st
 		case evPartial:
 			a := accs[ev.seq]
 			if a == nil {
-				a = &redAcc{sums: make([]float64, len(ev.vals))}
+				a = newRedAcc(expected)
 				accs[ev.seq] = a
 			}
-			if len(ev.vals) != len(a.sums) {
+			shard, ok := shardOf[ev.workerID]
+			if !ok {
+				shard = -1
+			}
+			sums, err := a.add(shard, ev.vals)
+			if err != nil {
 				c.abortAll(participants, run.id)
-				return nil, nil, fmt.Errorf("%w: partial arity mismatch from %s", wire.ErrFrame, ev.workerID)
+				return nil, nil, fmt.Errorf("%w (from %s)", err, ev.workerID)
 			}
-			for i, v := range ev.vals {
-				a.sums[i] += v
-			}
-			a.n++
-			if a.n == expected {
+			if sums != nil {
 				delete(accs, ev.seq)
-				cm := reduceMsg{SolveID: run.id, Seq: ev.seq, Vals: a.sums}
+				cm := reduceMsg{SolveID: run.id, Seq: ev.seq, Vals: sums}
 				for id, rw := range participants {
 					if err := rw.send(wire.MsgCombined, cm.encode()); err != nil {
 						c.markDead(rw, err)

@@ -136,6 +136,18 @@ func (ws *Workspace) AxpyBlock(coef []float64, xs, ys []vec.Vector) {
 	vec.PoolAxpyBlock(ws.pool, coef, xs, ys)
 }
 
+// DotList fills out[k] = <xs[k], ys[k]> — an s-step block's Gram
+// sequences — in one pooled dispatch.
+func (ws *Workspace) DotList(xs, ys []vec.Vector, out []float64) {
+	vec.PoolDotList(ws.pool, xs, ys, out)
+}
+
+// LincombBlock sets ys[j] = sum_i coef[i*len(ys)+j]*xs[i] and, when acc
+// is non-nil, acc += ys[0], in one pooled dispatch.
+func (ws *Workspace) LincombBlock(coef []float64, xs, ys []vec.Vector, acc vec.Vector) {
+	vec.PoolLincombBlock(ws.pool, coef, xs, ys, acc)
+}
+
 // MatVecT computes dst = Aᵀ*x on the workspace pool when the operator
 // supports pooled transpose products. Kernels obtain the operator from
 // Run.AT, which the driver populates only when the (pre-tuning)

@@ -56,18 +56,35 @@ func axpyCoeffInto(dst, x, y []float64, sc float64, shift int) []float64 {
 // monomial basis limits practical block sizes to s <~ 5, exactly the
 // historical experience with the method.
 //
-// All block state — power families, Gram sequences, coefficient
-// buffers — is cached on the kernel keyed by the block size, so a warm
-// repeated solve allocates nothing.
+// Each phase is one pass over memory and one pool dispatch: the matrix
+// powers advance the r and p chains together (s paired products plus
+// one for A^{s+1}p), the 6s+6 Gram dots are one DotList, and x, r, p
+// are rewritten by one LincombBlock. Per block that is s+1 SpMV passes,
+// one Gram dispatch, one update dispatch and the resync dot.
+//
+// All block state — power families, pair lists, Gram sequences,
+// coefficient buffers — is cached on the kernel keyed by the block
+// size, so a warm repeated solve allocates nothing.
 type sstepKernel struct {
 	s int
 
 	x, r, p, upd vec.Vector
 	rPow, pPow   []vec.Vector
 
+	// powDst[2i-2:2i] = (A^i r, A^i p) and powSrc the same pair one power
+	// lower: the paired matrix-powers products, i = 1..s.
+	powDst, powSrc []vec.Vector
+	// gram backs mu|nu|om; gx[k], gy[k] is the operand pair of gram[k].
+	gram           []float64
+	gx, gy         []vec.Vector
 	mu, nu, om     []float64
 	cr, cp, cx, ct coeffVec
 	stepRRs        []float64
+	// The block update: basis = rPow ++ pPow, outs = (upd, r, p), and
+	// coef the (2s+3)×3 coefficient matrix over them (zero where a
+	// combination has no term).
+	basis, outs []vec.Vector
+	coef        []float64
 
 	rr float64
 }
@@ -102,9 +119,11 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 		kn.pPow = append(kn.pPow, ws.Vec(5+s+i))
 	}
 	if kn.s != s {
-		kn.mu = make([]float64, 2*s+1)
-		kn.nu = make([]float64, 2*s+2)
-		kn.om = make([]float64, 2*s+3)
+		kn.gram = make([]float64, 6*s+6)
+		kn.mu = kn.gram[:2*s+1]
+		kn.nu = kn.gram[2*s+1 : 4*s+3]
+		kn.om = kn.gram[4*s+3:]
+		kn.coef = make([]float64, 3*(2*s+3))
 		kn.cr = newCoeffVec(s + 2)
 		kn.cp = newCoeffVec(s + 2)
 		kn.cx = newCoeffVec(s + 2)
@@ -112,6 +131,7 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 		kn.stepRRs = make([]float64, 0, s)
 		kn.s = s
 	}
+	kn.buildLists()
 
 	if run.Cfg.X0 != nil {
 		vec.Copy(kn.x, run.Cfg.X0)
@@ -130,6 +150,36 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 	run.Res.Stats.InnerProducts++
 	run.Res.Stats.Flops += 2 * int64(ws.Dim())
 	return kn.resNorm(), nil
+}
+
+// buildLists lays out the operand lists of the three block phases over
+// this solve's arena vectors: the paired matrix-powers chains, the Gram
+// pairs (mu_i = (A^⌊i/2⌋ r, A^⌈i/2⌉ r), nu_i = (A^x r, A^{i-x} p) with
+// x = min(⌊i/2⌋, s), om_i = (A^⌊i/2⌋ p, A^⌈i/2⌉ p)), and the update's
+// basis and outputs.
+func (kn *sstepKernel) buildLists() {
+	s := kn.s
+	kn.powDst, kn.powSrc = kn.powDst[:0], kn.powSrc[:0]
+	for i := 1; i <= s; i++ {
+		kn.powDst = append(kn.powDst, kn.rPow[i], kn.pPow[i])
+		kn.powSrc = append(kn.powSrc, kn.rPow[i-1], kn.pPow[i-1])
+	}
+	kn.gx, kn.gy = kn.gx[:0], kn.gy[:0]
+	for i := range kn.mu {
+		kn.gx = append(kn.gx, kn.rPow[i/2])
+		kn.gy = append(kn.gy, kn.rPow[i-i/2])
+	}
+	for i := range kn.nu {
+		x := min(i/2, s)
+		kn.gx = append(kn.gx, kn.rPow[x])
+		kn.gy = append(kn.gy, kn.pPow[i-x])
+	}
+	for i := range kn.om {
+		kn.gx = append(kn.gx, kn.pPow[i/2])
+		kn.gy = append(kn.gy, kn.pPow[i-i/2])
+	}
+	kn.basis = append(append(kn.basis[:0], kn.rPow...), kn.pPow...)
+	kn.outs = append(kn.outs[:0], kn.upd, kn.r, kn.p)
 }
 
 func (kn *sstepKernel) Residual(*engine.Run) float64 { return kn.resNorm() }
@@ -164,19 +214,18 @@ func (kn *sstepKernel) contract(x, y coeffVec, shift int) float64 {
 	return t
 }
 
-// applyCombo materializes a coefficient combination over the power
-// families into dst — the s-step economy: no per-step matvecs, just
-// combination sweeps.
-func (kn *sstepKernel) applyCombo(run *engine.Run, dst vec.Vector, c coeffVec) {
-	vec.Zero(dst)
+// setCombo writes combination c into column col of the block-update
+// coefficient matrix — rho over the rPow rows, pi over the pPow rows —
+// and returns its term count. Rows c does not reach keep the zero the
+// caller cleared them to, and contribute nothing to the update.
+func (kn *sstepKernel) setCombo(col int, c coeffVec) int {
 	for i, v := range c.rho {
-		run.Ws.Axpy(v, kn.rPow[i], dst)
+		kn.coef[i*3+col] = v
 	}
 	for i, v := range c.pi {
-		run.Ws.Axpy(v, kn.pPow[i], dst)
+		kn.coef[(kn.s+1+i)*3+col] = v
 	}
-	run.Res.Stats.VectorUpdates += len(c.rho) + len(c.pi)
-	run.Res.Stats.Flops += int64(len(c.rho)+len(c.pi)) * 2 * int64(run.Ws.Dim())
+	return len(c.rho) + len(c.pi)
 }
 
 // Step executes one s-step block.
@@ -185,36 +234,21 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 	n := int64(ws.Dim())
 	s := kn.s
 
-	// Build block Krylov powers: rPow[0..s], pPow[0..s+1].
+	// Build block Krylov powers: rPow[0..s], pPow[0..s+1], the two
+	// chains advancing together so each pass over A serves both.
 	vec.Copy(kn.rPow[0], kn.r)
-	for i := 1; i <= s; i++ {
-		ws.MatVec(run.A, kn.rPow[i], kn.rPow[i-1])
-	}
 	vec.Copy(kn.pPow[0], kn.p)
-	for i := 1; i <= s+1; i++ {
-		ws.MatVec(run.A, kn.pPow[i], kn.pPow[i-1])
+	for i := 0; i < s; i++ {
+		ws.MatVecs(run.A, kn.powDst[2*i:2*i+2], kn.powSrc[2*i:2*i+2])
 	}
+	ws.MatVec(run.A, kn.pPow[s+1], kn.pPow[s])
 	res.Stats.MatVecs += 2*s + 1
 	res.Stats.Flops += int64(2*s+1) * engine.MatVecFlops(run.A)
 
 	// One batched reduction: Gram sequences to index 2s+2.
-	for i := range kn.mu {
-		x, y := i/2, i-i/2
-		kn.mu[i] = ws.Dot(kn.rPow[x], kn.rPow[y])
-	}
-	for i := range kn.nu {
-		x := i / 2
-		if x > s {
-			x = s
-		}
-		kn.nu[i] = ws.Dot(kn.rPow[x], kn.pPow[i-x])
-	}
-	for i := range kn.om {
-		x, y := i/2, i-i/2
-		kn.om[i] = ws.Dot(kn.pPow[x], kn.pPow[y])
-	}
-	res.Stats.InnerProducts += len(kn.mu) + len(kn.nu) + len(kn.om)
-	res.Stats.Flops += int64(len(kn.mu)+len(kn.nu)+len(kn.om)) * 2 * n
+	ws.DotList(kn.gx, kn.gy, kn.gram)
+	res.Stats.InnerProducts += len(kn.gram)
+	res.Stats.Flops += int64(len(kn.gram)) * 2 * n
 
 	// s CG steps by coefficient recurrences over (rho, pi) relative to
 	// the block base, contracted against the Gram data. cr/cp start as
@@ -265,12 +299,14 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 			res.Iterations, s, ErrBreakdown)
 	}
 
-	// Apply the block as linear combinations of the power families.
-	kn.applyCombo(run, kn.upd, kn.cx)
-	vec.Add(kn.x, kn.x, kn.upd)
-	kn.applyCombo(run, kn.r, kn.cr)
-	kn.applyCombo(run, kn.upd, kn.cp)
-	vec.Copy(kn.p, kn.upd)
+	// Apply the block as linear combinations of the power families in
+	// one sweep: upd = cx, r = cr, p = cp over the basis, then x += upd —
+	// the s-step economy: no per-step matvecs, just one combination pass.
+	clear(kn.coef)
+	terms := kn.setCombo(0, kn.cx) + kn.setCombo(1, kn.cr) + kn.setCombo(2, kn.cp)
+	ws.LincombBlock(kn.coef, kn.basis, kn.outs, kn.x)
+	res.Stats.VectorUpdates += terms
+	res.Stats.Flops += int64(terms) * 2 * n
 
 	res.Blocks++
 	for _, v := range kn.stepRRs {

@@ -142,12 +142,12 @@ func TestPooledBlockKernelsBitwiseSerial(t *testing.T) {
 
 // TestCSRMulVecsMatchesMulVecPerColumn: the multi-vector SpMV produces
 // each output column bitwise identical to the single-vector CSR loop,
-// serially and pooled, for column counts exercising the 4-wide groups
-// and the remainder path.
+// serially and pooled, for column counts exercising the 4-wide groups,
+// the 2-wide group and the single-column remainder.
 func TestCSRMulVecsMatchesMulVecPerColumn(t *testing.T) {
 	n := 3000
 	rowPtr, colIdx, vals := bandCSR(n, 9)
-	for _, s := range []int{1, 2, 4, 5, 8, 11} {
+	for _, s := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11} {
 		xs := make([]Vector, s)
 		dsts := make([]Vector, s)
 		want := make([]Vector, s)

@@ -68,6 +68,8 @@ type Pool struct {
 	blockPart2 []float64 // second partial set (DotPair)
 	batchPart  []float64 // DotBatch partials, one padded stride per y
 	batchCap   int       // per-y stride of batchPart
+	pairX      []Vector  // DotBlock's cross product as DotList pairs
+	pairY      []Vector
 }
 
 // lineBlocks is the number of BlockLen blocks whose partials share one
@@ -128,6 +130,8 @@ var defaultCutoffs = [nOps]int64{
 	opRowRange:  1 << 15, // in rows
 	// The block multi-RHS kernels amortize one dispatch over s (or s^2)
 	// operand sweeps, so they cross over at DotBatch-like sizes.
+	// opDotBlock also carries DotList and opAxpyBlock LincombBlock: the
+	// same leaf-blocked sweeps over an operand list.
 	opDotBlock:   1 << 14,
 	opAxpyBlock:  1 << 14,
 	opCSRMulVecs: 1 << 15, // in nonzeros (shared across the s outputs)
@@ -145,17 +149,22 @@ type job struct {
 	w     []float64
 	ys    []Vector
 	// ds is the second vector set of the block multi-RHS kernels
-	// (destinations for opAxpyBlock/opCSRMulVecs, the right-hand operand
-	// family for opDotBlock).
+	// (destinations for opAxpyBlock/opCSRMulVecs/opRowRange with fns, the
+	// right-hand operand list for opDotBlock).
 	ds []Vector
+	// set selects the assign form (LincombBlock) of opAxpyBlock; w is
+	// then its optional accumulator.
+	set bool
 	// CSR SpMV operands (row-partitioned; see CSRMulVec).
 	rowPtr []int
 	colIdx []int
 	vals   []float64
-	// fn is the row-range kernel of RowMulVec. Callers pass a cached
-	// function value (not a fresh closure) so dispatch stays
+	// fn is the row-range kernel of RowMulVec, fns the multi-vector one
+	// of RowMulVecsBounds (opRowRange runs whichever is set). Callers
+	// pass cached function values (not fresh closures) so dispatch stays
 	// allocation-free.
-	fn RowKernel
+	fn  RowKernel
+	fns RowsKernel
 }
 
 // RowKernel computes range [lo, hi) of dst = A*x for a row-partitioned
@@ -165,6 +174,11 @@ type job struct {
 // elements disjoint from every other range's, so ranges can run
 // concurrently. All of x may be read.
 type RowKernel func(lo, hi int, dst, x Vector)
+
+// RowsKernel is the multi-vector form of RowKernel: it computes range
+// [lo, hi) of dsts[j] = A*xs[j] for every column, under the same
+// disjoint-write contract.
+type RowsKernel func(lo, hi int, dsts, xs []Vector)
 
 // DefaultPool uses all available CPUs with the conservative default
 // cutoffs. Long-running hosts (servers, CLIs) should DefaultPool.Calibrate()
@@ -502,24 +516,19 @@ func (p *Pool) exec(c int) {
 			dst[i] = s
 		}
 	case opRowRange:
-		j.fn(lo, hi, j.z, j.x)
-	case opDotBlock:
-		xs, ys := j.ys, j.ds
-		ny := len(ys)
-		for ii, x := range xs {
-			for jj, y := range ys {
-				row := p.batchPart[(ii*ny+jj)*p.batchCap:]
-				for b0 := lo; b0 < hi; b0 += BlockLen {
-					b1 := b0 + BlockLen
-					if b1 > hi {
-						b1 = hi
-					}
-					row[b0/BlockLen] = dotLeaf(x[b0:b1], y[b0:b1])
-				}
-			}
+		if j.fns != nil {
+			j.fns(lo, hi, j.ds, j.ys)
+		} else {
+			j.fn(lo, hi, j.z, j.x)
 		}
+	case opDotBlock:
+		dotListLeaves(j.ys, j.ds, p.batchPart, p.batchCap, lo, hi)
 	case opAxpyBlock:
-		axpyBlockRange(j.x, j.ys, j.ds, lo, hi)
+		if j.set {
+			lincombBlockRange(j.x, j.ys, j.ds, j.w, lo, hi)
+		} else {
+			axpyBlockRange(j.x, j.ys, j.ds, lo, hi)
+		}
 	case opCSRMulVecs:
 		CSRMulVecsRows(j.rowPtr, j.colIdx, j.vals, j.ds, j.ys, lo, hi)
 	}
@@ -644,9 +653,61 @@ func (p *Pool) DotBatch(x Vector, ys []Vector, dots []float64) {
 	p.end()
 }
 
+// dotListLeaves writes the canonical leaf partial of every pair
+// (xs[k], ys[k]) over each BlockLen block of [lo, hi) into
+// part[k*stride+block]. Blocks are the outer loop, so each block of an
+// operand is streamed from memory once and reread from cache by every
+// other pair that uses it; pairs go two at a time through dotLeaf2. It
+// is the chunk body of DotList and DotBlock.
+func dotListLeaves(xs, ys []Vector, part []float64, stride, lo, hi int) {
+	for b0 := lo; b0 < hi; b0 += BlockLen {
+		b1 := min(b0+BlockLen, hi)
+		cell := b0 / BlockLen
+		k := 0
+		for ; k+2 <= len(xs); k += 2 {
+			part[k*stride+cell], part[(k+1)*stride+cell] = dotLeaf2(
+				xs[k][b0:b1], ys[k][b0:b1], xs[k+1][b0:b1], ys[k+1][b0:b1])
+		}
+		if k < len(xs) {
+			part[k*stride+cell] = dotLeaf(xs[k][b0:b1], ys[k][b0:b1])
+		}
+	}
+}
+
+// dotList runs the pooled DotList dispatch over nc planned chunks and
+// combines out. Called between beginEqual and end.
+func (p *Pool) dotList(nc int, xs, ys []Vector, out []float64) {
+	n := len(xs[0])
+	p.growBatchSlab(n, len(xs))
+	p.job = job{op: opDotBlock, ys: xs, ds: ys}
+	p.run(nc)
+	nb := nblocks(n)
+	for k := range out {
+		out[k] = combineTree(p.batchPart[k*p.batchCap : k*p.batchCap+nb])
+	}
+}
+
+// DotList computes out[k] = <xs[k], ys[k]> for every pair with one
+// dispatch for the whole list, parallelizing across element chunks;
+// every output is bitwise identical to the serial DotList (and Dot).
+func (p *Pool) DotList(xs, ys []Vector, out []float64) {
+	mustDotList(xs, ys, out)
+	nc := 0
+	if len(xs) > 0 {
+		nc = p.beginEqual(opDotBlock, len(xs[0]))
+	}
+	if nc == 0 {
+		DotList(xs, ys, out)
+		return
+	}
+	p.dotList(nc, xs, ys, out)
+	p.end()
+}
+
 // DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]>, parallelizing
 // across element chunks with one dispatch for all len(xs)*len(ys)
-// pairs; every output is bitwise identical to the serial DotBlock.
+// pairs (run as a DotList over the cross product); every output is
+// bitwise identical to the serial DotBlock.
 func (p *Pool) DotBlock(xs, ys []Vector, out []float64) {
 	if len(out) != len(xs)*len(ys) {
 		panic("vec: DotBlock output length mismatch")
@@ -666,14 +727,20 @@ func (p *Pool) DotBlock(xs, ys []Vector, out []float64) {
 		DotBlock(xs, ys, out)
 		return
 	}
-	n := len(xs[0])
-	p.growBatchSlab(n, len(xs)*len(ys))
-	p.job = job{op: opDotBlock, ys: xs, ds: ys}
-	p.run(nc)
-	nb := nblocks(n)
-	for k := range out {
-		out[k] = combineTree(p.batchPart[k*p.batchCap : k*p.batchCap+nb])
+	k := len(xs) * len(ys)
+	if cap(p.pairX) < k {
+		p.pairX = make([]Vector, k)
+		p.pairY = make([]Vector, k)
 	}
+	px, py := p.pairX[:k], p.pairY[:k]
+	for i, x := range xs {
+		for j, y := range ys {
+			px[i*len(ys)+j], py[i*len(ys)+j] = x, y
+		}
+	}
+	p.dotList(nc, px, py, out)
+	clear(px) // retain no caller memory between calls
+	clear(py)
 	p.end()
 }
 
@@ -702,6 +769,44 @@ func (p *Pool) AxpyBlock(coef []float64, xs, ys []Vector) {
 	p.job = job{op: opAxpyBlock, x: coef, ys: xs, ds: ys}
 	p.run(nc)
 	p.end()
+}
+
+// LincombBlock is the pooled assign form of AxpyBlock (see the serial
+// LincombBlock): one dispatch writes every output column and applies
+// acc += ys[0]; elementwise, so bitwise identical to the serial form.
+func (p *Pool) LincombBlock(coef []float64, xs, ys []Vector, acc Vector) {
+	if !mustLincombBlock(coef, xs, ys, acc) {
+		return
+	}
+	n := len(ys[0])
+	nc := p.beginEqual(opAxpyBlock, n)
+	if nc == 0 {
+		lincombBlockRange(coef, xs, ys, acc, 0, n)
+		return
+	}
+	p.job = job{op: opAxpyBlock, set: true, x: coef, ys: xs, ds: ys, w: acc}
+	p.run(nc)
+	p.end()
+}
+
+// PoolDotList runs DotList on the pool when p is non-nil and serially
+// otherwise.
+func PoolDotList(p *Pool, xs, ys []Vector, out []float64) {
+	if p != nil {
+		p.DotList(xs, ys, out)
+		return
+	}
+	DotList(xs, ys, out)
+}
+
+// PoolLincombBlock runs LincombBlock on the pool when p is non-nil and
+// serially otherwise.
+func PoolLincombBlock(p *Pool, coef []float64, xs, ys []Vector, acc Vector) {
+	if p != nil {
+		p.LincombBlock(coef, xs, ys, acc)
+		return
+	}
+	LincombBlock(coef, xs, ys, acc)
 }
 
 // PoolDotBlock runs DotBlock on the pool when p is non-nil and serially
@@ -820,6 +925,22 @@ func (p *Pool) RowMulVecBounds(bounds []int, dst, x Vector, fn RowKernel) bool {
 	return true
 }
 
+// RowMulVecsBounds is the multi-vector form of RowMulVecBounds: it runs
+// fn over the caller-provided partition to compute dsts[j] = A*xs[j]
+// for every column in one dispatch (sparse.SELL's paired matrix-powers
+// product). It returns false — leaving the destinations untouched —
+// when the partition does not fit this pool.
+func (p *Pool) RowMulVecsBounds(bounds []int, dsts, xs []Vector, fn RowsKernel) bool {
+	nc := p.beginBounds(bounds)
+	if nc == 0 {
+		return false
+	}
+	p.job = job{op: opRowRange, fns: fn, ds: dsts, ys: xs}
+	p.run(nc)
+	p.end()
+	return true
+}
+
 // CSRMulVec computes dst = A*x for a CSR matrix given by (rowPtr,
 // colIdx, vals), parallelized over the caller-provided row partition
 // bounds (len(bounds)-1 chunks; see sparse.CSR.MulVecPool, which supplies
@@ -847,10 +968,11 @@ func (p *Pool) CSRMulVec(bounds []int, rowPtr, colIdx []int, vals []float64, dst
 
 // CSRMulVecsRows computes dsts[j][lo:hi] = (A*xs[j])[lo:hi] for every
 // column j in one pass over the row data: each row's (value, column)
-// stream is read once per group of four columns instead of once per
-// column, which is where the multi-RHS bandwidth win comes from. Each
-// column's accumulation order matches the single-vector CSR loop
-// exactly, so every output column is bitwise identical to MulVec.
+// stream is read once per group of four columns (then once for a
+// remaining pair) instead of once per column, which is where the
+// multi-RHS bandwidth win comes from. Each column's accumulation order
+// matches the single-vector CSR loop exactly, so every output column is
+// bitwise identical to MulVec.
 func CSRMulVecsRows(rowPtr, colIdx []int, vals []float64, dsts, xs []Vector, lo, hi int) {
 	s := len(xs)
 	j := 0
@@ -868,6 +990,20 @@ func CSRMulVecsRows(rowPtr, colIdx []int, vals []float64, dsts, xs []Vector, lo,
 			}
 			d0[i], d1[i], d2[i], d3[i] = s0, s1, s2, s3
 		}
+	}
+	if j+2 <= s {
+		x0, x1 := xs[j], xs[j+1]
+		d0, d1 := dsts[j], dsts[j+1]
+		for i := lo; i < hi; i++ {
+			var s0, s1 float64
+			for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
+				v, c := vals[q], colIdx[q]
+				s0 += v * x0[c]
+				s1 += v * x1[c]
+			}
+			d0[i], d1[i] = s0, s1
+		}
+		j += 2
 	}
 	for ; j < s; j++ {
 		x, d := xs[j], dsts[j]

@@ -164,6 +164,31 @@ func dotLeaf(x, y []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// dotLeaf2 is dotLeaf over two pairs of one block at once: eight
+// independent accumulator chains instead of four, so the adds of the
+// two dots overlap. Each result is bitwise dotLeaf's.
+func dotLeaf2(x, y, u, v []float64) (xy, uv float64) {
+	var s0, s1, s2, s3, t0, t1, t2, t3 float64
+	n := len(x)
+	y, u, v = y[:n], u[:n], v[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += x[i] * y[i]
+		s1 += x[i+1] * y[i+1]
+		s2 += x[i+2] * y[i+2]
+		s3 += x[i+3] * y[i+3]
+		t0 += u[i] * v[i]
+		t1 += u[i+1] * v[i+1]
+		t2 += u[i+2] * v[i+2]
+		t3 += u[i+3] * v[i+3]
+	}
+	for ; i < n; i++ {
+		s0 += x[i] * y[i]
+		t0 += u[i] * v[i]
+	}
+	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+}
+
 // dotTree evaluates the canonical reduction tree over x, y.
 func dotTree(x, y []float64) float64 {
 	n := len(x)
@@ -517,6 +542,30 @@ func DotBlock(xs, ys []Vector, out []float64) {
 	}
 }
 
+// DotList computes out[k] = <xs[k], ys[k]> for every pair of an
+// arbitrary list — the Gram sequences of an s-step block, batched so
+// the pooled form costs one synchronization for the whole list. Each
+// entry is defined by the canonical reduction tree, so it is bitwise
+// equal to Dot and the pooled form is bitwise identical to this one.
+func DotList(xs, ys []Vector, out []float64) {
+	mustDotList(xs, ys, out)
+	for k, x := range xs {
+		out[k] = Dot(x, ys[k])
+	}
+}
+
+// mustDotList checks the DotList operand shapes: equal list lengths and
+// one common vector length.
+func mustDotList(xs, ys []Vector, out []float64) {
+	if len(xs) != len(ys) || len(out) != len(xs) {
+		panic(fmt.Sprintf("vec: DotList %d outputs for %d/%d operands", len(out), len(xs), len(ys)))
+	}
+	for k, x := range xs {
+		mustSameLen2(len(xs[0]), len(x))
+		mustSameLen2(len(x), len(ys[k]))
+	}
+}
+
 // AxpyBlock accumulates ys[j] += sum_i coef[i*len(ys)+j] * xs[i] for
 // every output column — the block-CG update X += P·Λ as one kernel. The
 // sweep is blocked so each BlockLen segment of every operand is touched
@@ -554,6 +603,97 @@ func axpyBlockRange(coef []float64, xs, ys []Vector, lo, hi int) {
 				Axpy(coef[i*s+j], x[b0:b1], yb)
 			}
 		}
+	}
+}
+
+// LincombBlock is the assign form of AxpyBlock: it sets
+// ys[j] = sum_i coef[i*len(ys)+j] * xs[i] for every output column. Each
+// element accumulates in the order of Zero followed by AxpyBlock, and a
+// zero coefficient contributes nothing (as in Axpy), so the result is
+// bitwise that of the two-step form. When acc is non-nil, acc += ys[0]
+// is applied in the same sweep — the solution update of a block method
+// whose first output is its step. No output may alias an input.
+func LincombBlock(coef []float64, xs, ys []Vector, acc Vector) {
+	if !mustLincombBlock(coef, xs, ys, acc) {
+		return
+	}
+	lincombBlockRange(coef, xs, ys, acc, 0, len(ys[0]))
+}
+
+// mustLincombBlock checks the LincombBlock operand shapes and reports
+// whether there is any output to write.
+func mustLincombBlock(coef []float64, xs, ys []Vector, acc Vector) bool {
+	if len(coef) != len(xs)*len(ys) {
+		panic(fmt.Sprintf("vec: LincombBlock coefficient length %d for %dx%d pairs", len(coef), len(xs), len(ys)))
+	}
+	if len(ys) == 0 {
+		return false
+	}
+	n := len(ys[0])
+	for _, x := range xs {
+		mustSameLen2(n, len(x))
+	}
+	for _, y := range ys {
+		mustSameLen2(n, len(y))
+	}
+	if acc != nil {
+		mustSameLen2(n, len(acc))
+	}
+	return true
+}
+
+// lincombBlockRange is the shared serial/pooled body of LincombBlock
+// over element range [lo, hi), blocked like axpyBlockRange.
+func lincombBlockRange(coef []float64, xs, ys []Vector, acc Vector, lo, hi int) {
+	s := len(ys)
+	for b0 := lo; b0 < hi; b0 += BlockLen {
+		b1 := min(b0+BlockLen, hi)
+		for j, y := range ys {
+			lincombSeg(coef[j:], s, xs, y, b0, b1)
+		}
+		if acc != nil {
+			ab := acc[b0:b1]
+			Add(ab, ab, ys[0][b0:b1])
+		}
+	}
+}
+
+// lincombSeg sets y[lo:hi] = sum_i coef[i*stride]*xs[i][lo:hi]. Each
+// element accumulates from +0 over i in order, skipping zero
+// coefficients — the operations of Zero followed by one Axpy per term —
+// but in registers, eight elements at a time, so y is written once
+// rather than read and written once per term.
+func lincombSeg(coef []float64, stride int, xs []Vector, y Vector, lo, hi int) {
+	k := lo
+	for ; k+8 <= hi; k += 8 {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for i, x := range xs {
+			c := coef[i*stride]
+			if c == 0 {
+				continue
+			}
+			xk := x[k : k+8 : k+8]
+			a0 += c * xk[0]
+			a1 += c * xk[1]
+			a2 += c * xk[2]
+			a3 += c * xk[3]
+			a4 += c * xk[4]
+			a5 += c * xk[5]
+			a6 += c * xk[6]
+			a7 += c * xk[7]
+		}
+		yk := y[k : k+8 : k+8]
+		yk[0], yk[1], yk[2], yk[3] = a0, a1, a2, a3
+		yk[4], yk[5], yk[6], yk[7] = a4, a5, a6, a7
+	}
+	for ; k < hi; k++ {
+		var a float64
+		for i, x := range xs {
+			if c := coef[i*stride]; c != 0 {
+				a += c * x[k]
+			}
+		}
+		y[k] = a
 	}
 }
 

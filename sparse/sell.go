@@ -51,10 +51,11 @@ type SELL struct {
 	vals     []float64
 
 	// part caches the most recent nnz-balanced chunk partition, and
-	// kernel the RowKernel method value, so pooled dispatch is
-	// allocation-free (see MulVecPool).
-	part   atomic.Pointer[rowPartition]
-	kernel vec.RowKernel
+	// kernel/kernels the RowKernel/RowsKernel method values, so pooled
+	// dispatch is allocation-free (see MulVecPool and MulVecsPool).
+	part    atomic.Pointer[rowPartition]
+	kernel  vec.RowKernel
+	kernels vec.RowsKernel
 }
 
 // ToSELL converts the matrix to SELL-C-σ form with the default sorting
@@ -138,6 +139,7 @@ func NewSELL(m *CSR, sigma int) *SELL {
 		perm: perm, chunkPtr: chunkPtr, cols: cols, vals: vals,
 	}
 	s.kernel = s.mulChunks
+	s.kernels = s.mulChunksMulti
 	return s
 }
 
@@ -197,6 +199,63 @@ func (s *SELL) mulChunks(c0, c1 int, dst, x []float64) {
 	}
 }
 
+// mulChunksMulti computes the chunk range [c0, c1) of dsts[j] = A*xs[j]
+// for every column: the multi-vector RowsKernel. Columns go in pairs,
+// so each chunk's vals/cols stream is read once for two vectors; an odd
+// last column runs the single-vector kernel. Every lane accumulates in
+// the same order as mulChunks, so each column is bitwise identical to
+// MulVec.
+func (s *SELL) mulChunksMulti(c0, c1 int, dsts, xs [][]float64) {
+	j := 0
+	for ; j+2 <= len(xs); j += 2 {
+		s.mulChunksPair(c0, c1, dsts[j], dsts[j+1], xs[j], xs[j+1])
+	}
+	if j < len(xs) {
+		s.mulChunks(c0, c1, dsts[j], xs[j])
+	}
+}
+
+// mulChunksPair is mulChunks for two vectors at once: d = A*x, e = A*y.
+func (s *SELL) mulChunksPair(c0, c1 int, d, e, x, y []float64) {
+	cols, vals := s.cols, s.vals
+	y, e = y[:len(x)], e[:len(d)] // one bounds check covers both vectors
+	for c := c0; c < c1; c++ {
+		off := s.chunkPtr[c]
+		end := s.chunkPtr[c+1]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		for q := off; q < end; q += SellC {
+			vq, kq := vals[q:q+SellC:q+SellC], cols[q:q+SellC:q+SellC]
+			v0, v1, v2, v3 := vq[0], vq[1], vq[2], vq[3]
+			k0, k1, k2, k3 := kq[0], kq[1], kq[2], kq[3]
+			a0 += v0 * x[k0]
+			a1 += v1 * x[k1]
+			a2 += v2 * x[k2]
+			a3 += v3 * x[k3]
+			b0 += v0 * y[k0]
+			b1 += v1 * y[k1]
+			b2 += v2 * y[k2]
+			b3 += v3 * y[k3]
+		}
+		base := c * SellC
+		if r := s.perm[base]; r >= 0 {
+			d[r] = a0
+			e[r] = b0
+		}
+		if r := s.perm[base+1]; r >= 0 {
+			d[r] = a1
+			e[r] = b1
+		}
+		if r := s.perm[base+2]; r >= 0 {
+			d[r] = a2
+			e[r] = b2
+		}
+		if r := s.perm[base+3]; r >= 0 {
+			d[r] = a3
+			e[r] = b3
+		}
+	}
+}
+
 // MulVec computes dst = A*x, bitwise identical to the source CSR's
 // MulVec for finite inputs (see the type comment for the exceptions).
 func (s *SELL) MulVec(dst, x []float64) {
@@ -238,6 +297,23 @@ func (s *SELL) MulVecPool(pool *Pool, dst, x []float64) {
 	bounds := s.ChunkPartition(pool.Workers())
 	if !pool.RowMulVecBounds(bounds, dst, x, s.kernel) {
 		s.MulVec(dst, x)
+	}
+}
+
+// MulVecsPool computes dsts[j] = A*xs[j] for every column, reading the
+// chunk data once per pair of columns, in parallel over the pool using
+// the cached entry-balanced chunk partition, with the same serial
+// fallbacks (a nil pool runs serially) as MulVecPool. Each output
+// column is bitwise identical to MulVec; no dst may alias any x.
+func (s *SELL) MulVecsPool(pool *Pool, dsts, xs [][]float64) {
+	checkMulVecs(s, dsts, xs)
+	if pool == nil || pool.Workers() < 2 || len(s.vals) < pool.SpMVCutoff() {
+		s.mulChunksMulti(0, len(s.chunkPtr)-1, dsts, xs)
+		return
+	}
+	bounds := s.ChunkPartition(pool.Workers())
+	if !pool.RowMulVecsBounds(bounds, dsts, xs, s.kernels) {
+		s.mulChunksMulti(0, len(s.chunkPtr)-1, dsts, xs)
 	}
 }
 
@@ -316,7 +392,8 @@ func TuneMulVec(a Matrix) Matrix {
 }
 
 var (
-	_ Matrix     = (*SELL)(nil)
-	_ Sparse     = (*SELL)(nil)
-	_ PoolMulVec = (*SELL)(nil)
+	_ Matrix      = (*SELL)(nil)
+	_ Sparse      = (*SELL)(nil)
+	_ PoolMulVec  = (*SELL)(nil)
+	_ MultiMulVec = (*SELL)(nil)
 )

@@ -90,8 +90,9 @@ func PooledMulVec(a Matrix, pool *Pool, dst, x []float64) {
 
 // MultiMulVec is a Matrix that can apply itself to several vectors in
 // one pass over its data — the multi-RHS product the block solvers
-// amortize their SpMV bandwidth with. CSR implements it with a
-// column-grouped row sweep.
+// amortize their SpMV bandwidth with, and s-step CG's paired
+// matrix-powers product. CSR implements it with a column-grouped row
+// sweep, SELL with a column-paired chunk sweep.
 type MultiMulVec interface {
 	Matrix
 	// MulVecsPool computes dsts[j] = A*xs[j] for every column over the
